@@ -8,29 +8,49 @@
 ///
 /// Runs in `O(|a| * |b|)` time and `O(min(|a|, |b|))` space.
 pub fn levenshtein(a: &str, b: &str) -> usize {
+    levenshtein_by(a.as_bytes(), b.as_bytes(), |c| c)
+}
+
+/// Case-insensitive Levenshtein distance: equal to `levenshtein` of both
+/// inputs' `to_ascii_lowercase`, folding each byte as it is compared.
+pub fn levenshtein_ignore_case(a: &str, b: &str) -> usize {
+    levenshtein_by(a.as_bytes(), b.as_bytes(), |c| c.to_ascii_lowercase())
+}
+
+/// Rows this long live on the stack, so identifier-sized inputs allocate
+/// nothing.
+const STACK_ROW: usize = 64;
+
+/// The rolling-row kernel behind both distances; `fold` maps each byte
+/// before comparison.
+fn levenshtein_by(a: &[u8], b: &[u8], fold: impl Fn(u8) -> u8) -> usize {
     let (a, b) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let a = a.as_bytes();
-    let b = b.as_bytes();
     if a.is_empty() {
         return b.len();
     }
-    let mut row: Vec<usize> = (0..=a.len()).collect();
+    let mut stack = [0usize; STACK_ROW + 1];
+    let mut heap = Vec::new();
+    let row: &mut [usize] = if a.len() <= STACK_ROW {
+        &mut stack[..=a.len()]
+    } else {
+        heap.resize(a.len() + 1, 0);
+        &mut heap
+    };
+    for (i, r) in row.iter_mut().enumerate() {
+        *r = i;
+    }
     for (j, &bc) in b.iter().enumerate() {
+        let bc = fold(bc);
         let mut prev_diag = row[0];
         row[0] = j + 1;
         for (i, &ac) in a.iter().enumerate() {
-            let cost = usize::from(ac != bc);
+            let cost = usize::from(fold(ac) != bc);
             let next = (prev_diag + cost).min(row[i] + 1).min(row[i + 1] + 1);
             prev_diag = row[i + 1];
             row[i + 1] = next;
         }
     }
     row[a.len()]
-}
-
-/// Case-insensitive Levenshtein distance.
-pub fn levenshtein_ignore_case(a: &str, b: &str) -> usize {
-    levenshtein(&a.to_ascii_lowercase(), &b.to_ascii_lowercase())
 }
 
 /// Normalized similarity in `[0, 1]`: `1 - dist / max_len`.
@@ -106,6 +126,25 @@ mod prop_tests {
             let d = levenshtein(&a, &b);
             prop_assert!(d <= a.len().max(b.len()));
             prop_assert!(d >= a.len().abs_diff(b.len()));
+        }
+
+        #[test]
+        fn ignore_case_matches_lowercased_inputs(
+            a in "[a-zA-Z0-9_ éÉßÅåΣσ]{0,20}",
+            b in "[a-zA-Z0-9_ éÉßÅåΣσ]{0,20}",
+        ) {
+            prop_assert_eq!(
+                levenshtein_ignore_case(&a, &b),
+                levenshtein(&a.to_ascii_lowercase(), &b.to_ascii_lowercase())
+            );
+        }
+
+        #[test]
+        fn ignore_case_matches_past_the_stack_row(a in "[a-zA-Zé]{60,80}", b in "[a-zA-Zé]{60,80}") {
+            prop_assert_eq!(
+                levenshtein_ignore_case(&a, &b),
+                levenshtein(&a.to_ascii_lowercase(), &b.to_ascii_lowercase())
+            );
         }
 
         #[test]

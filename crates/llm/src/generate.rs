@@ -21,9 +21,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use snails_data::{GoldPair, SnailsDatabase};
 use snails_sql::{
-    clause_profile, parse, rename_identifiers, Expr, FunctionArg, IdentifierMap, SelectItem,
-    Statement,
+    clause_profile, parse, rename_identifiers, Expr, FunctionArg, IdentifierMap,
+    QueryIdentifiers, SelectItem, Statement,
 };
+use std::borrow::Cow;
 
 /// The result of one simulated inference.
 #[derive(Debug, Clone)]
@@ -78,6 +79,22 @@ pub fn infer(
     pair: &GoldPair,
     global_seed: u64,
 ) -> Inference {
+    let gold = parse(&pair.sql).expect("gold queries are valid SQL");
+    let ids = snails_sql::extract_identifiers(&gold);
+    infer_parsed(model, db, view, pair, &gold, &ids, global_seed)
+}
+
+/// [`infer`] with the gold query already parsed (`gold`) and its
+/// identifiers extracted (`ids`).
+pub(crate) fn infer_parsed(
+    model: &ModelConfig,
+    db: &SnailsDatabase,
+    view: &SchemaView,
+    pair: &GoldPair,
+    gold: &Statement,
+    ids: &QueryIdentifiers,
+    global_seed: u64,
+) -> Inference {
     let seed = mix_seed(
         &[model.name, db.spec.name, view.variant.display_name()],
         &[global_seed, pair.id as u64],
@@ -101,28 +118,25 @@ pub fn infer(
         return inference;
     }
 
-    let gold = parse(&pair.sql).expect("gold queries are valid SQL");
-    let ids = snails_sql::extract_identifiers(&gold);
-
     // Link every required identifier.
     let mut rename = IdentifierMap::new();
     for table in &ids.tables {
         let (displayed, regular) = displayed_and_regular(db, view, table, true);
-        let outcome = link_identifier(model, view, &displayed, &regular, true, &mut rng);
+        let outcome = link_identifier(model, view, displayed, &regular, true, &mut rng);
         rename.insert(table, outcome.emitted());
         inference.links.push((table.clone(), outcome));
     }
     for column in &ids.columns {
         let (displayed, regular) = displayed_and_regular(db, view, column, false);
-        let outcome = link_identifier(model, view, &displayed, &regular, false, &mut rng);
+        let outcome = link_identifier(model, view, displayed, &regular, false, &mut rng);
         rename.insert(column, outcome.emitted());
         inference.links.push((column.clone(), outcome));
     }
 
-    let mut predicted = rename_identifiers(&gold, &rename);
+    let mut predicted = rename_identifiers(gold, &rename);
 
     // Structural correctness: skill decays with clause complexity.
-    let complexity = clause_profile(&gold).complexity() as f64;
+    let complexity = clause_profile(gold).complexity() as f64;
     let p_structure =
         (model.structure_skill * model.chain_factor).powf(0.5 + complexity / 8.0);
     if rng.gen::<f64>() >= p_structure {
@@ -131,7 +145,7 @@ pub fn infer(
 
     // Extra projected columns (ungrouped queries only).
     if rng.gen::<f64>() < model.extra_column_rate {
-        add_extra_column(&mut predicted, view, &ids, &mut rng);
+        add_extra_column(&mut predicted, view, ids, &mut rng);
     }
 
     inference.raw_sql = predicted.to_string();
@@ -139,23 +153,23 @@ pub fn infer(
 }
 
 /// The displayed and Regular renderings of a native identifier.
-fn displayed_and_regular(
-    db: &SnailsDatabase,
-    view: &SchemaView,
-    native: &str,
+fn displayed_and_regular<'a>(
+    db: &'a SnailsDatabase,
+    view: &'a SchemaView,
+    native: &'a str,
     is_table: bool,
-) -> (String, String) {
+) -> (&'a str, Cow<'a, str>) {
     let displayed = if is_table {
-        view.table_by_native(native).map(|t| t.displayed.clone())
+        view.table_by_native(native).map(|t| t.displayed.as_str())
     } else {
-        view.column_by_native(native).map(|c| c.displayed.clone())
+        view.column_by_native(native).map(|c| c.displayed.as_str())
     }
-    .unwrap_or_else(|| native.to_owned());
+    .unwrap_or(native);
     let regular = db
         .crosswalk
         .entry(native)
-        .map(|e| e.renderings[0].clone())
-        .unwrap_or_else(|| native.to_ascii_lowercase());
+        .map(|e| Cow::Borrowed(e.renderings[0].as_str()))
+        .unwrap_or_else(|| Cow::Owned(native.to_ascii_lowercase()));
     (displayed, regular)
 }
 
@@ -286,7 +300,7 @@ fn mutate_select_literal(select: &mut snails_sql::SelectStatement) -> bool {
 fn add_extra_column(
     stmt: &mut Statement,
     view: &SchemaView,
-    gold_ids: &snails_sql::QueryIdentifiers,
+    gold_ids: &QueryIdentifiers,
     rng: &mut StdRng,
 ) {
     let select = match stmt {

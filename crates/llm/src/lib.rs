@@ -34,6 +34,7 @@
 
 pub mod faults;
 pub mod generate;
+mod link_index;
 pub mod linking;
 pub mod middleware;
 pub mod model;

@@ -19,7 +19,6 @@ use snails_lexicon::abbrev::{
     is_common_acronym, is_conventional_abbreviation, is_recognizable_acronym,
 };
 use snails_lexicon::dictionary::{dictionary, is_dictionary_word, is_subsequence};
-use snails_lexicon::edit::levenshtein_ignore_case;
 use snails_lexicon::split_identifier;
 
 /// Classify one identifier token.
@@ -52,6 +51,11 @@ pub fn classify_token(token: &str) -> TokenClass {
     TokenClass::Opaque
 }
 
+/// The classes of an identifier's tokens, in token order.
+pub(crate) fn classify_identifier(identifier: &str) -> Box<[TokenClass]> {
+    split_identifier(identifier).iter().map(|t| classify_token(&t.text)).collect()
+}
+
 /// Softening exponent for *organic* (Native-schema) identifiers: the paper's
 /// data shows Native schemas outperform what their naturalness mixture alone
 /// predicts (Figure 30: Native ≈ Regular on naturally-high databases), i.e.
@@ -69,16 +73,24 @@ pub fn link_probability(
     schema_columns: usize,
     organic: bool,
 ) -> f64 {
-    let tokens = split_identifier(displayed);
-    if tokens.is_empty() {
+    probability_from_classes(model, &classify_identifier(displayed), schema_columns, organic)
+}
+
+/// [`link_probability`] of an identifier whose token classes are `classes`.
+pub(crate) fn probability_from_classes(
+    model: &ModelConfig,
+    classes: &[TokenClass],
+    schema_columns: usize,
+    organic: bool,
+) -> f64 {
+    if classes.is_empty() {
         return 0.0;
     }
     let mut log_sum = 0.0;
-    for t in &tokens {
-        let p = model.decode_prob(classify_token(&t.text));
-        log_sum += p.max(1e-6).ln();
+    for &class in classes {
+        log_sum += model.decode_prob(class).max(1e-6).ln();
     }
-    let mut geo_mean = (log_sum / tokens.len() as f64).exp();
+    let mut geo_mean = (log_sum / classes.len() as f64).exp();
     if organic {
         geo_mean = geo_mean.powf(ORGANIC_EXPONENT);
     }
@@ -171,37 +183,20 @@ fn hallucinate(displayed: &str, rng: &mut StdRng) -> String {
 }
 
 /// Candidates for distractor selection: displayed identifiers of the same
-/// kind, excluding the correct one; the nearest by edit distance wins
-/// (plausible confusion, not random noise).
+/// kind, excluding the correct one; one of the 5 nearest by edit distance
+/// wins (plausible confusion, not random noise). The view's link index
+/// ranks each identifier's candidates once.
 fn pick_distractor(
     view: &SchemaView,
     displayed: &str,
     is_table: bool,
     rng: &mut StdRng,
 ) -> Option<String> {
-    let mut candidates: Vec<&str> = if is_table {
-        view.tables
-            .iter()
-            .map(|t| t.displayed.as_str())
-            .filter(|d| !d.eq_ignore_ascii_case(displayed))
-            .collect()
-    } else {
-        view.tables
-            .iter()
-            .flat_map(|t| &t.columns)
-            .map(|c| c.displayed.as_str())
-            .filter(|d| !d.eq_ignore_ascii_case(displayed))
-            .collect()
-    };
-    if candidates.is_empty() {
+    let nearest = view.nearest_distractors(displayed, is_table);
+    if nearest.is_empty() {
         return None;
     }
-    candidates.sort_unstable();
-    candidates.dedup();
-    // Keep the 5 nearest by edit distance, pick one.
-    candidates.sort_by_key(|c| levenshtein_ignore_case(c, displayed));
-    let top = candidates.len().min(5);
-    Some(candidates[rng.gen_range(0..top)].to_owned())
+    Some(nearest.get(rng.gen_range(0..nearest.len())).to_owned())
 }
 
 /// Simulate linking one required identifier.
@@ -217,7 +212,8 @@ pub fn link_identifier(
     rng: &mut StdRng,
 ) -> LinkOutcome {
     let organic = view.variant == snails_naturalness::category::SchemaVariant::Native;
-    let p = link_probability(model, displayed, view.column_count(), organic);
+    let classes = view.token_classes(displayed);
+    let p = probability_from_classes(model, &classes, view.column_count(), organic);
     if rng.gen::<f64>() < p {
         return LinkOutcome::Correct(displayed.to_owned());
     }

@@ -1,5 +1,6 @@
 //! The displayed schema: identifiers at the active naturalness variant.
 
+use crate::link_index::LinkIndex;
 use snails_data::SnailsDatabase;
 use snails_naturalness::category::SchemaVariant;
 use snails_sql::IdentifierMap;
@@ -28,6 +29,12 @@ pub struct ViewTable {
 
 /// The schema as the model sees it: prompt tables only (module-pruned for
 /// SBOD), each identifier rendered at the variant level.
+///
+/// A view carries a lazily filled link index (`crate::link_index`) that
+/// memoizes native lookups, token classes and distractor rankings for its
+/// `tables`. Change `tables` only before the view's first lookup or
+/// inference; a clone or [`SchemaView::restricted_to`] gets an index of its
+/// own.
 #[derive(Debug, Clone)]
 pub struct SchemaView {
     /// Database name.
@@ -36,7 +43,9 @@ pub struct SchemaView {
     pub variant: SchemaVariant,
     /// Displayed tables.
     pub tables: Vec<ViewTable>,
+    pub(crate) index: LinkIndex,
 }
+
 
 impl SchemaView {
     /// Build the displayed schema for a database at a variant.
@@ -61,7 +70,12 @@ impl SchemaView {
                 columns,
             });
         }
-        SchemaView { database: db.spec.name.to_owned(), variant, tables }
+        SchemaView {
+            database: db.spec.name.to_owned(),
+            variant,
+            tables,
+            index: LinkIndex::default(),
+        }
     }
 
     /// Restrict the view to the given displayed table names (schema
@@ -80,6 +94,7 @@ impl SchemaView {
                 .filter(|t| keep.contains(&t.displayed.to_ascii_uppercase()))
                 .cloned()
                 .collect(),
+            index: self.index.restricted(&self.tables),
         }
     }
 
@@ -88,19 +103,16 @@ impl SchemaView {
         self.tables.iter().map(|t| t.columns.len()).sum()
     }
 
-    /// Look up a displayed table by native name.
+    /// Look up a displayed table by native name (ASCII case-insensitive;
+    /// the first match in table order).
     pub fn table_by_native(&self, native: &str) -> Option<&ViewTable> {
-        self.tables
-            .iter()
-            .find(|t| t.native.eq_ignore_ascii_case(native))
+        self.index.table(&self.tables, native).map(|t| &self.tables[t])
     }
 
-    /// Look up the displayed name of a native column (searching all tables).
+    /// Look up the displayed name of a native column (searching all tables;
+    /// the first match in table order).
     pub fn column_by_native(&self, native: &str) -> Option<&ViewColumn> {
-        self.tables
-            .iter()
-            .flat_map(|t| &t.columns)
-            .find(|c| c.native.eq_ignore_ascii_case(native))
+        self.index.column(&self.tables, native).map(|(t, c)| &self.tables[t].columns[c])
     }
 
     /// The displayed → native identifier map for query denaturalization.

@@ -12,8 +12,8 @@
 //!   finetuned generator; the filter is the most naturalness-sensitive
 //!   component (Figure 12).
 
-use crate::generate::{infer, mix_seed, Inference};
-use crate::linking::link_probability;
+use crate::generate::{infer_parsed, mix_seed, Inference};
+use crate::linking::probability_from_classes;
 use crate::model::{ModelConfig, ModelKind};
 use crate::schema_view::SchemaView;
 use rand::rngs::StdRng;
@@ -156,15 +156,14 @@ fn subset_schema(
         if gold_tables.contains(&native_upper) {
             // Retrieval confidence blends the table name's decodability with
             // its columns' (the filter reads both).
-            let name_p = link_probability(model, &t.displayed, columns, organic);
+            let p = |ident: &str| {
+                probability_from_classes(model, &view.token_classes(ident), columns, organic)
+            };
+            let name_p = p(&t.displayed);
             let col_p = if t.columns.is_empty() {
                 name_p
             } else {
-                t.columns
-                    .iter()
-                    .map(|c| link_probability(model, &c.displayed, columns, organic))
-                    .sum::<f64>()
-                    / t.columns.len() as f64
+                t.columns.iter().map(|c| p(&c.displayed)).sum::<f64>() / t.columns.len() as f64
             };
             let decodability = 0.6 * name_p + 0.4 * col_p;
             let p_keep = base * (1.0 - sensitivity * (1.0 - decodability));
@@ -187,22 +186,21 @@ pub fn run_workflow(
     global_seed: u64,
 ) -> WorkflowResult {
     let model = workflow.model_config();
+    let gold = snails_sql::parse(&pair.sql).expect("gold queries are valid SQL");
+    let ids = snails_sql::extract_identifiers(&gold);
     match workflow.subset_params() {
         None => WorkflowResult {
             workflow: workflow.display_name(),
-            inference: infer(&model, db, view, pair, global_seed),
+            inference: infer_parsed(&model, db, view, pair, &gold, &ids, global_seed),
             subset: None,
         },
         Some(params) => {
-            let gold = snails_sql::extract_identifiers(
-                &snails_sql::parse(&pair.sql).expect("gold parses"),
-            );
             let seed = mix_seed(
                 &[workflow.display_name(), db.spec.name, "subset"],
                 &[global_seed, pair.id as u64],
             );
             let mut rng = StdRng::seed_from_u64(seed);
-            let subset = subset_schema(params, &model, view, &gold.tables, &mut rng);
+            let subset = subset_schema(params, &model, view, &ids.tables, &mut rng);
             // Restrict the generator's view to the kept tables.
             let kept_displayed: Vec<String> = view
                 .tables
@@ -211,7 +209,8 @@ pub fn run_workflow(
                 .map(|t| t.displayed.clone())
                 .collect();
             let restricted = view.restricted_to(&kept_displayed);
-            let inference = infer(&model, db, &restricted, pair, global_seed);
+            let inference =
+                infer_parsed(&model, db, &restricted, pair, &gold, &ids, global_seed);
             WorkflowResult {
                 workflow: workflow.display_name(),
                 inference,

@@ -231,6 +231,16 @@ define_metrics! {
     /// Client-panic faults drawn.
     LlmFaultsPanic => "llm.faults.panic", Counter, &[], Deterministic;
 
+    // ---- llm: link index --------------------------------------------------
+    // Assembly-classified like the lazy secondary-index builds: the set of
+    // rankings a run needs is a pure function of the workload, so the total
+    // is identical at any thread count, but whichever cell fills a memo slot
+    // first is billed for it — a resumed run re-fills slots that restored
+    // cells had filled, and every shard process fills its own.
+    /// Ranked nearest-distractor lists computed (each `SchemaView` ranks an
+    /// identifier once; answers served from that memo are not counted).
+    LlmLinkIndexDistractorBuilds => "llm.link_index.distractor_builds", Counter, &[], Assembly;
+
     // ---- core: scheduler -------------------------------------------------
     /// Work items completed by the scheduler.
     CoreSchedulerItems => "core.scheduler.items", Counter, &[], Deterministic;

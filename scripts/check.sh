@@ -16,6 +16,14 @@ cargo build --release --workspace --offline
 echo "==> cargo test -q (workspace, offline)"
 cargo test -q --workspace --offline
 
+echo "==> link index vs per-call reference, full-grid inference digest (release, ignored tests)"
+# The debug suite ranks a spread of each view's distractors against the
+# per-call reference and pins the CWO + SBOD inference digest; these two
+# release-only tests rank every column of every view and pin the digest of
+# all 12,072 grid inferences.
+cargo test -q --release --offline -p snails-llm -- --ignored \
+    index_matches_per_call_reference_on_every_column full_grid_inference_digest_is_pinned
+
 echo "==> cargo clippy --workspace -- -D warnings (offline)"
 cargo clippy --workspace --offline -- -D warnings
 
@@ -56,6 +64,7 @@ for key in ("engine.plan.compile", "engine.op.scan.rows", "engine.exec.steps",
             "engine.vec.batches", "engine.vec.selectivity_pct",
             "engine.vec.dict.entries",
             "llm.cells.planned", "llm.resilience.attempts",
+            "llm.link_index.distractor_builds",
             "core.scheduler.items", "core.scheduler.workers"):
     assert key in seen, f"metric key {key} missing from report"
 # Fused-pipeline telemetry must land in the *deterministic* section (it is
@@ -68,6 +77,8 @@ for key in ("engine.vec.fused_pipelines", "engine.vec.pool.hits",
 hit = report["assembly"]["counters"]["engine.plan.cache_hit"]
 miss = report["assembly"]["counters"]["engine.plan.cache_miss"]
 assert hit + miss > 0, "grid run recorded no plan-cache lookups"
+assert report["assembly"]["counters"]["llm.link_index.distractor_builds"] > 0, (
+    "grid run ranked no distractors")
 spans = report["deterministic"]["spans"]
 assert spans["cell"]["count"] > 0, "no cell spans recorded"
 print(f"    {len(seen)} metric keys, plan-cache hit rate "

@@ -565,9 +565,14 @@ fn bench(args: &[String]) {
     // layer's determinism: same plans, failures, and retry counts at any
     // thread count.
     // Deterministic telemetry sections must also be byte-identical at any
-    // thread count (volatile sections — scheduler shape — are exempt).
-    let det_json =
-        |run: &BenchmarkRun| run.telemetry.as_ref().map(telemetry::Report::deterministic_json);
+    // thread count (volatile sections — scheduler shape — are exempt), and
+    // so must the link index's ranking count: assembly-classified, but a
+    // pure function of the workload within one fresh run.
+    let det_json = |run: &BenchmarkRun| {
+        run.telemetry.as_ref().map(|r| {
+            (r.deterministic_json(), r.counter("llm.link_index.distractor_builds"))
+        })
+    };
     let serial_telemetry = det_json(&serial);
     let mut telemetry_identical = det_json(&parallel) == serial_telemetry;
     let mut records_match =
