@@ -1,12 +1,11 @@
-//! Criterion benchmark crate; see benches/.
-//!
-//! The library half hosts the bench-only [`CountingAlloc`]: a delegating
-//! global allocator that counts heap allocations so the `snails bench`
-//! binary can verify the vectorized engine's steady-state hot loops are
-//! allocation-free (the buffer pool actually recycles). It is *not* wired
-//! into any library crate — only binaries that opt in via
-//! `#[global_allocator]` pay the two relaxed atomic increments per
-//! allocation.
+//! Measurement helpers shared by `snails bench` and the perfbench
+//! benchmark of record: nearest-rank [`Percentiles`] and the bench-only
+//! [`CountingAlloc`], a delegating global allocator that counts heap
+//! allocations so the `snails bench` binary can verify the vectorized
+//! engine's steady-state hot loops are allocation-free (the buffer pool
+//! actually recycles). It is *not* wired into any library crate — only
+//! binaries that opt in via `#[global_allocator]` pay the two relaxed
+//! atomic increments per allocation.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -93,13 +93,6 @@ pub struct ExecOptions {
     /// regardless of how wide the combined row is; `Some(n)` forces `n`
     /// (the A/B sweep and the equivalence tests use this).
     pub batch_size: Option<usize>,
-    /// Run vectorized query blocks as fused pipelines: `WHERE` (and the
-    /// optimizer's residual conjuncts) carry a selection vector straight
-    /// into the block tail instead of materializing an intermediate
-    /// relation per operator. On by default; results are byte-identical
-    /// either way — the flag exists for A/B timing and for the
-    /// fused-vs-unfused axis of the equivalence tests.
-    pub fusion: bool,
     /// Run eligible compiled plans through the cost-based planner
     /// ([`crate::optimize`]): predicate pushdown past joins, greedy join
     /// reordering by estimated cardinality, and index/scan access-path
@@ -151,22 +144,18 @@ impl Default for ExecOptions {
             hash_join: true,
             vectorized: true,
             batch_size: None,
-            fusion: true,
             optimize: true,
             limits: ExecLimits::UNLIMITED,
         }
     }
 }
 
-/// Execute a statement against `db`.
+/// Execute a statement against `db` on the AST interpreter — the
+/// differential oracle for [`crate::plan::CompiledPlan::execute`], which
+/// every runtime caller uses instead.
 ///
-/// `CREATE VIEW` requires mutation; use [`apply_ddl`] for that. `execute`
-/// returns an error for DDL to keep the read path `&Database`.
-pub fn execute(db: &Database, stmt: &Statement) -> Result<ResultSet, EngineError> {
-    execute_with(db, stmt, ExecOptions::default())
-}
-
-/// [`execute`] with explicit [`ExecOptions`].
+/// `CREATE VIEW` requires mutation; use [`apply_ddl`] for that. The read
+/// path returns an error for DDL to stay `&Database`.
 pub fn execute_with(
     db: &Database,
     stmt: &Statement,
@@ -1677,8 +1666,12 @@ pub(crate) fn like_match(s: &str, pattern: &str) -> bool {
 mod tests {
     use super::*;
     use crate::catalog::{Database, TableSchema};
-    use crate::run_sql;
     use crate::value::DataType;
+
+    /// The interpreter under test, with default options.
+    fn interpret(db: &Database, sql: &str) -> Result<ResultSet, EngineError> {
+        crate::interpret_sql(db, sql, ExecOptions::default())
+    }
 
     /// A small two-table database used throughout the executor tests.
     fn wildlife_db() -> Database {
@@ -1725,7 +1718,7 @@ mod tests {
     }
 
     fn rows(db: &Database, sql: &str) -> Vec<Vec<Value>> {
-        run_sql(db, sql).unwrap_or_else(|e| panic!("{sql}: {e}")).rows
+        interpret(db, sql).unwrap_or_else(|e| panic!("{sql}: {e}")).rows
     }
 
     #[test]
@@ -1738,7 +1731,7 @@ mod tests {
     #[test]
     fn wildcard_expansion() {
         let db = wildlife_db();
-        let rs = run_sql(&db, "SELECT * FROM tbl_Species").unwrap();
+        let rs = interpret(&db, "SELECT * FROM tbl_Species").unwrap();
         assert_eq!(rs.columns, ["SpeciesCode", "CommonName", "Family"]);
         assert_eq!(rs.row_count(), 4);
     }
@@ -2025,15 +2018,15 @@ mod tests {
     fn unknown_identifiers_error() {
         let db = wildlife_db();
         assert!(matches!(
-            run_sql(&db, "SELECT x FROM missing"),
+            interpret(&db, "SELECT x FROM missing"),
             Err(EngineError::UnknownTable { .. })
         ));
         assert!(matches!(
-            run_sql(&db, "SELECT missing FROM tbl_Species"),
+            interpret(&db, "SELECT missing FROM tbl_Species"),
             Err(EngineError::UnknownColumn { .. })
         ));
         assert!(matches!(
-            run_sql(&db, "SELECT tbl_Species.Oops FROM tbl_Species"),
+            interpret(&db, "SELECT tbl_Species.Oops FROM tbl_Species"),
             Err(EngineError::UnknownColumn { .. })
         ));
     }
@@ -2044,7 +2037,7 @@ mod tests {
         // SpeciesCode only exists in one table, SpCode in the other; but a
         // self-join makes everything ambiguous.
         assert!(matches!(
-            run_sql(
+            interpret(
                 &db,
                 "SELECT CommonName FROM tbl_Species a JOIN tbl_Species b ON a.SpeciesCode = b.SpeciesCode"
             ),
@@ -2074,7 +2067,7 @@ mod tests {
         // Division / modulo by zero: a TypeError, never NULL or a panic.
         for sql in ["SELECT 1 / 0", "SELECT 1 % 0", "SELECT 1.0 / 0", "SELECT 1.5 % 0.0"] {
             assert!(
-                matches!(run_sql(&db, sql), Err(EngineError::TypeError { .. })),
+                matches!(interpret(&db, sql), Err(EngineError::TypeError { .. })),
                 "{sql} should be a type error"
             );
         }
@@ -2089,7 +2082,7 @@ mod tests {
             format!("SELECT {max} * 2"),
         ] {
             assert!(
-                matches!(run_sql(&db, &sql), Err(EngineError::TypeError { .. })),
+                matches!(interpret(&db, &sql), Err(EngineError::TypeError { .. })),
                 "{sql} should be a type error"
             );
         }
@@ -2110,10 +2103,10 @@ mod tests {
             limits: ExecLimits { max_join_rows: Some(100_000), ..Default::default() },
             ..Default::default()
         };
-        let err = crate::run_sql_with(&db, sql, opts).unwrap_err();
+        let err = crate::interpret_sql(&db, sql, opts).unwrap_err();
         assert!(err.is_resource_exhausted(), "got {err}");
         // Unlimited options still run the small joins fine.
-        let ok = crate::run_sql_with(
+        let ok = crate::interpret_sql(
             &db,
             "SELECT COUNT(*) FROM t AS a JOIN t AS b ON a.x = b.x",
             ExecOptions::default(),
@@ -2133,30 +2126,30 @@ mod tests {
             limits: ExecLimits { max_output_rows: Some(10), ..Default::default() },
             ..Default::default()
         };
-        let err = crate::run_sql_with(&db, "SELECT x FROM t", opts).unwrap_err();
+        let err = crate::interpret_sql(&db, "SELECT x FROM t", opts).unwrap_err();
         assert!(err.is_resource_exhausted(), "got {err}");
         // TOP under the budget passes.
-        assert!(crate::run_sql_with(&db, "SELECT TOP 5 x FROM t", opts).is_ok());
+        assert!(crate::interpret_sql(&db, "SELECT TOP 5 x FROM t", opts).is_ok());
 
         let deep = ExecOptions {
             limits: ExecLimits { max_subquery_depth: Some(2), ..Default::default() },
             ..Default::default()
         };
-        let err = crate::run_sql_with(
+        let err = crate::interpret_sql(
             &db,
             "SELECT x FROM t WHERE x IN (SELECT x FROM t WHERE x IN (SELECT x FROM t))",
             deep,
         )
         .unwrap_err();
         assert!(err.is_resource_exhausted(), "got {err}");
-        assert!(crate::run_sql_with(&db, "SELECT COUNT(*) FROM t", deep).is_ok());
+        assert!(crate::interpret_sql(&db, "SELECT COUNT(*) FROM t", deep).is_ok());
     }
 
     #[test]
     fn guarded_limits_leave_normal_queries_alone() {
         let db = wildlife_db();
         let opts = ExecOptions { limits: ExecLimits::guarded(), ..Default::default() };
-        let rs = crate::run_sql_with(
+        let rs = crate::interpret_sql(
             &db,
             "SELECT s.CommonName, COUNT(*) FROM tbl_Species s \
              JOIN tbl_Observations o ON s.SpeciesCode = o.SpCode \
@@ -2244,7 +2237,7 @@ mod tests {
     #[test]
     fn qualified_wildcard() {
         let db = wildlife_db();
-        let rs = run_sql(
+        let rs = interpret(
             &db,
             "SELECT s.* FROM tbl_Species s JOIN tbl_Observations o ON s.SpeciesCode = o.SpCode \
              WHERE o.Obs_ID = 1",
@@ -2300,11 +2293,11 @@ mod tests {
         assert_eq!(distinct, vec![vec![Value::from("North")]]);
         // Arity mismatch is a clean error.
         assert!(matches!(
-            run_sql(&db, "SELECT Site, Obs_ID FROM tbl_Observations UNION SELECT Site FROM tbl_Observations"),
+            interpret(&db, "SELECT Site, Obs_ID FROM tbl_Observations UNION SELECT Site FROM tbl_Observations"),
             Err(EngineError::TypeError { .. })
         ));
         // Column names come from the first block.
-        let rs = run_sql(&db, "SELECT SpeciesCode AS code FROM tbl_Species UNION SELECT SpCode FROM tbl_Observations").unwrap();
+        let rs = interpret(&db, "SELECT SpeciesCode AS code FROM tbl_Species UNION SELECT SpCode FROM tbl_Observations").unwrap();
         assert_eq!(rs.columns, vec!["code"]);
         assert_eq!(rs.row_count(), 4); // ELK MDR CYT BDG (dedup across blocks)
     }

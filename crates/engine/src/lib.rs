@@ -20,11 +20,15 @@
 //! * derived tables, aliases, schema-qualified names, `CREATE VIEW`
 //!   (natural views, §6 / appendix H)
 //!
-//! Row counts in the SNAILS instances are small (hundreds to low thousands),
-//! so the executor fully materializes every stage. Equi-key `ON` predicates
-//! run through a build/probe hash join (order-identical to the nested loop,
-//! which remains the fallback for everything else — see [`ExecOptions`]),
-//! and grouping/dedup use typed hash keys.
+//! Every runtime caller — gold queries, predicted queries, the CLI, the
+//! server — executes through one path: [`run_sql`] / [`PlanCache::run`]
+//! lower the statement into a [`CompiledPlan`] and run it on the
+//! vectorized, cost-planned executor ([`crate::vector`],
+//! [`crate::optimize`]), with the row-at-a-time plan runner as its scalar
+//! fallback. The AST interpreter ([`interpret_sql`] / [`execute_with`]) is
+//! the differential oracle: the equivalence tests and the `snails bench`
+//! baselines compare every plan result, error, and budget-exhaustion point
+//! against it, and nothing else calls it.
 
 pub mod batch;
 pub mod catalog;
@@ -40,8 +44,8 @@ pub mod vector;
 pub use catalog::{Column, Database, Table, TableSchema, ViewDef};
 pub use error::EngineError;
 pub use exec::{
-    adaptive_batch_size, apply_ddl, execute, execute_with, ExecLimits, ExecOptions,
-    MAX_BATCH_SIZE, MIN_BATCH_SIZE,
+    adaptive_batch_size, apply_ddl, execute_with, ExecLimits, ExecOptions, MAX_BATCH_SIZE,
+    MIN_BATCH_SIZE,
 };
 pub use optimize::{ExplainStep, Explanation};
 pub use plan::{compile, CompiledPlan, PlanCache};
@@ -49,13 +53,16 @@ pub use stats::{ColumnStats, TableStats};
 pub use result::ResultSet;
 pub use value::{ArithOp, DataType, HashKey, Value};
 
-/// Parse and execute `sql` against `db`.
+/// Parse, compile, and execute `sql` against `db` on the compiled-plan
+/// executor with [`ExecOptions::default`] — the runtime path.
 pub fn run_sql(db: &Database, sql: &str) -> Result<ResultSet, EngineError> {
-    run_sql_with(db, sql, ExecOptions::default())
+    let stmt = snails_sql::parse(sql).map_err(EngineError::from_parse)?;
+    compile(db, &stmt)?.execute(db, ExecOptions::default())
 }
 
-/// Parse and execute `sql` against `db` with explicit [`ExecOptions`].
-pub fn run_sql_with(
+/// Parse and execute `sql` against `db` on the AST interpreter — the
+/// differential oracle that every compiled-plan result is checked against.
+pub fn interpret_sql(
     db: &Database,
     sql: &str,
     opts: ExecOptions,

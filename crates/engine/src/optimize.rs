@@ -47,8 +47,9 @@
 //! runs without charging the meter or touching observability; any
 //! surprise aborts to the normal paths at zero cost. Only after the join
 //! tree is complete are charges and metrics replayed, then the residual
-//! `WHERE` and the tail run through the vectorized engine's own `filter`
-//! and `tail` (which carry their own scalar fallbacks and charge points).
+//! `WHERE` and the tail run through the vectorized engine's own
+//! `filter_sel` and `tail` (which carry their own scalar fallbacks and
+//! charge points).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -1154,35 +1155,24 @@ fn attempt(
                     .min(100_000.0) as u64;
             snails_obs::observe(Obs::EngineOptCardErrPct, err_pct);
         }
-        let mut rel = rel;
         let before_residual = rel.len as u64;
-        let after_residual;
-        let result;
-        if r.opts.fusion {
-            // Residual conjuncts chain a selection vector instead of
-            // re-materializing the joined row set after each predicate;
-            // the tail consumes the final selection directly.
-            let mut sel_rows: Option<Vec<u32>> = None;
-            for &c in &dec.residual {
-                let next = vector::filter_sel(r, sel, &rel, c, sel_rows.as_deref(), batch, &flags)?;
-                if let Some(prev) = sel_rows.replace(next) {
-                    r.pool.put_u32(prev);
-                }
+        // Residual conjuncts chain a selection vector instead of
+        // re-materializing the joined row set after each predicate; the
+        // tail consumes the final selection directly.
+        let mut sel_rows: Option<Vec<u32>> = None;
+        for &c in &dec.residual {
+            let next = vector::filter_sel(r, sel, &rel, c, sel_rows.as_deref(), batch, &flags)?;
+            if let Some(prev) = sel_rows.replace(next) {
+                r.pool.put_u32(prev);
             }
-            if !dec.residual.is_empty() {
-                snails_obs::add(Obs::EngineVecFusedPipelines, 1);
-            }
-            after_residual = sel_rows.as_ref().map_or(rel.len as u64, |s| s.len() as u64);
-            result = vector::tail(r, sel, &rel, sel_rows.as_deref(), &flags);
-            if let Some(s) = sel_rows {
-                r.pool.put_u32(s);
-            }
-        } else {
-            for &c in &dec.residual {
-                rel = vector::filter(r, sel, rel, c, batch, &flags)?;
-            }
-            after_residual = rel.len as u64;
-            result = vector::tail(r, sel, &rel, None, &flags);
+        }
+        if !dec.residual.is_empty() {
+            snails_obs::add(Obs::EngineVecFusedPipelines, 1);
+        }
+        let after_residual = sel_rows.as_ref().map_or(rel.len as u64, |s| s.len() as u64);
+        let result = vector::tail(r, sel, &rel, sel_rows.as_deref(), &flags);
+        if let Some(s) = sel_rows {
+            r.pool.put_u32(s);
         }
         let result = result?;
 

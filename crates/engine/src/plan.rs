@@ -1662,7 +1662,7 @@ impl PlanCache {
 
     /// Parse/compile `sql` (or fetch the cached plan) and execute it.
     ///
-    /// Behaviorally identical to [`crate::run_sql_with`] for a structurally
+    /// Behaviorally identical to [`crate::interpret_sql`] for a structurally
     /// stable database.
     pub fn run(
         &self,
@@ -1785,7 +1785,7 @@ mod tests {
     use super::*;
     use crate::catalog::TableSchema;
     use crate::value::DataType;
-    use crate::{run_sql_with, ExecLimits};
+    use crate::{interpret_sql, ExecLimits};
 
     fn db() -> Database {
         let mut db = Database::new("plandb");
@@ -1814,7 +1814,7 @@ mod tests {
     /// Err cases).
     fn check(db: &Database, sql: &str) {
         let opts = ExecOptions::default();
-        let interpreted = run_sql_with(db, sql, opts);
+        let interpreted = interpret_sql(db, sql, opts);
         let cache = PlanCache::new();
         let planned = cache.run(db, sql, opts);
         assert_eq!(planned, interpreted, "plan/interpreter divergence for {sql:?}");
@@ -1878,7 +1878,7 @@ mod tests {
             "SELECT name FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.t_id = t.id)",
             "SELECT id FROM t CROSS JOIN u",
         ] {
-            let interpreted = run_sql_with(&db, sql, tight);
+            let interpreted = interpret_sql(&db, sql, tight);
             let cache = PlanCache::new();
             let planned = cache.run(&db, sql, tight);
             assert_eq!(planned, interpreted, "limit divergence for {sql:?}");

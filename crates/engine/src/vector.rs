@@ -133,24 +133,6 @@ impl Rel {
         Rel { srcs: Vec::new(), rowids: Vec::new(), len: 1, col_map: Vec::new(), width: 0 }
     }
 
-    /// Keep only the logical rows in `keep`, in order. The displaced
-    /// row-id vectors recycle through `pool`.
-    pub(crate) fn keep(self, keep: &[u32], pool: &BatchPool) -> Rel {
-        let rowids = self
-            .rowids
-            .iter()
-            .map(|ids| {
-                let mut out = pool.take_u32();
-                out.extend(keep.iter().map(|&i| ids[i as usize]));
-                out
-            })
-            .collect();
-        for ids in self.rowids {
-            pool.put_u32(ids);
-        }
-        Rel { srcs: self.srcs, rowids, len: keep.len(), col_map: self.col_map, width: self.width }
-    }
-
     /// Return the row-id vectors to `pool` once the relation is dead.
     pub(crate) fn recycle(self, pool: &BatchPool) {
         for ids in self.rowids {
@@ -1200,20 +1182,17 @@ fn run_select_inner(r: &Runner<'_>, sel: &CSelect) -> Result<ResultSet, EngineEr
         snails_obs::observe(Obs::EngineOpJoinRows, rel.len as u64);
     }
 
-    // WHERE → tail. With fusion on, the filter emits a selection vector
-    // that feeds the tail directly — the intermediate filtered relation
-    // (a full set of row-id vectors) is never materialized. With fusion
-    // off, the filter materializes its output relation first (the
-    // pre-fusion operator-at-a-time shape, kept as an A/B and test axis).
-    let mut fused_sel: Option<Vec<u32>> = None;
-    if let Some(pred) = sel.where_clause {
-        if r.opts.fusion {
-            fused_sel = Some(filter_sel(r, sel, &rel, pred, None, batch, &flags)?);
+    // WHERE → tail: the filter emits a selection vector that feeds the
+    // tail directly — the intermediate filtered relation (a full set of
+    // row-id vectors) is never materialized.
+    let fused_sel = match sel.where_clause {
+        Some(pred) => {
+            let keep = filter_sel(r, sel, &rel, pred, None, batch, &flags)?;
             snails_obs::add(Obs::EngineVecFusedPipelines, 1);
-        } else {
-            rel = filter(r, sel, rel, pred, batch, &flags)?;
+            Some(keep)
         }
-    }
+        None => None,
+    };
     let result = tail(r, sel, &rel, fused_sel.as_deref(), &flags);
     if let Some(s) = fused_sel {
         r.pool.put_u32(s);
@@ -1286,8 +1265,8 @@ fn load_source(r: &Runner<'_>, src: &CSource, batch: usize) -> Result<Rel, Engin
 /// prior pipeline stage's selection, or all rows when `None`), falling
 /// back to per-row scalar evaluation for any batch the vector kernels
 /// cannot prove error-free. The returned keep-vector comes from the
-/// runner's pool; callers hand it to the next fused stage (or to
-/// [`Rel::keep`]) and then recycle it.
+/// runner's pool; callers hand it to the next fused stage and then
+/// recycle it.
 pub(crate) fn filter_sel(
     r: &Runner<'_>,
     sel: &CSelect,
@@ -1353,22 +1332,6 @@ pub(crate) fn filter_sel(
     snails_obs::observe(Obs::EngineOpFilterRows, keep.len() as u64);
     r.pool.put_u32(scratch);
     Ok(keep)
-}
-
-/// `WHERE` materializing its output relation (the unfused shape): run
-/// [`filter_sel`] over all rows, then compact the relation.
-pub(crate) fn filter(
-    r: &Runner<'_>,
-    sel: &CSelect,
-    rel: Rel,
-    pred: ExprId,
-    batch: usize,
-    flags: &[bool],
-) -> Result<Rel, EngineError> {
-    let keep = filter_sel(r, sel, &rel, pred, None, batch, flags)?;
-    let out = rel.keep(&keep, &r.pool);
-    r.pool.put_u32(keep);
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@
 //! with NULL keys mixed in everywhere.
 
 use proptest::prelude::*;
-use snails_engine::{run_sql_with, DataType, Database, ExecOptions, TableSchema, Value};
+use snails_engine::{interpret_sql, DataType, Database, ExecOptions, TableSchema, Value};
 
 /// (key, group, id) rows; `key` is nullable to exercise NULL-key semantics.
 type Rows = Vec<(Option<i64>, i64)>;
@@ -56,9 +56,9 @@ fn rows_strategy() -> impl Strategy<Value = Rows> {
 }
 
 fn both_ways(db: &Database, sql: &str) -> (Vec<Vec<Value>>, Vec<Vec<Value>>) {
-    let hash = run_sql_with(db, sql, ExecOptions { hash_join: true, ..Default::default() })
+    let hash = interpret_sql(db, sql, ExecOptions { hash_join: true, ..Default::default() })
         .unwrap_or_else(|e| panic!("hash exec failed: {e:?} for {sql}"));
-    let nested = run_sql_with(db, sql, ExecOptions { hash_join: false, ..Default::default() })
+    let nested = interpret_sql(db, sql, ExecOptions { hash_join: false, ..Default::default() })
         .unwrap_or_else(|e| panic!("nested exec failed: {e:?} for {sql}"));
     (hash.rows, nested.rows)
 }
@@ -110,7 +110,7 @@ fn null_keys_never_match_each_other() {
         ExecOptions { hash_join: true, ..Default::default() },
         ExecOptions { hash_join: false, ..Default::default() },
     ] {
-        let rs = run_sql_with(&db, "SELECT l.id, r.id FROM l JOIN r ON l.k = r.k", opts)
+        let rs = interpret_sql(&db, "SELECT l.id, r.id FROM l JOIN r ON l.k = r.k", opts)
             .unwrap();
         // Only the 1=1 pairing survives; the NULL keys pair with nothing.
         assert_eq!(rs.rows, vec![vec![Value::Int(1), Value::Int(1)]], "{opts:?}");

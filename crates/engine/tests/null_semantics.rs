@@ -4,7 +4,7 @@
 //! the compiled-plan path (which must stay byte-identical to each other).
 
 use snails_engine::{
-    run_sql_with, DataType, Database, ExecOptions, PlanCache, TableSchema, Value,
+    interpret_sql, DataType, Database, ExecOptions, PlanCache, TableSchema, Value,
 };
 
 /// `orders`: customer groups with controlled NULL patterns.
@@ -184,7 +184,7 @@ fn null_semantics_match_on_both_execution_paths() {
     let cache = PlanCache::new();
     for case in CASES {
         let interpreted =
-            run_sql_with(&db, case.sql, opts).unwrap_or_else(|e| panic!("{}: {e}", case.name));
+            interpret_sql(&db, case.sql, opts).unwrap_or_else(|e| panic!("{}: {e}", case.name));
         assert_eq!(
             render(&interpreted.rows),
             case.expected,

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use snails_engine::{
-    run_sql_with, DataType, Database, ExecLimits, ExecOptions, PlanCache, TableSchema, Value,
+    interpret_sql, DataType, Database, ExecLimits, ExecOptions, PlanCache, TableSchema, Value,
 };
 
 fn fixture() -> Database {
@@ -188,7 +188,7 @@ fn arb_query() -> impl Strategy<Value = String> {
 /// Full-outcome comparison: `Ok(ResultSet)` must match field-for-field and
 /// `Err(EngineError)` must match variant-for-variant (both are `PartialEq`).
 fn assert_equivalent(db: &Database, sql: &str, opts: ExecOptions) {
-    let interpreted = run_sql_with(db, sql, opts);
+    let interpreted = interpret_sql(db, sql, opts);
     let cache = PlanCache::new();
     let planned = cache.run(db, sql, opts);
     assert_eq!(planned, interpreted, "cold plan diverged for {sql:?}");
@@ -288,7 +288,7 @@ fn bounded_cache_churn_interleaves_databases_without_cross_serving() {
             for db in [&alpha, &beta] {
                 let cold = cache.run(db, sql, opts).expect("query runs");
                 let warm = cache.run(db, sql, opts).expect("query runs");
-                let interpreted = run_sql_with(db, sql, opts).expect("query runs");
+                let interpreted = interpret_sql(db, sql, opts).expect("query runs");
                 // Byte-identical to this database's interpreter result —
                 // a cross-served plan would surface the other database's
                 // rows (bases 0 vs 100 never overlap).

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use snails_engine::{
-    run_sql_with, DataType, Database, ExecLimits, ExecOptions, PlanCache, TableSchema, Value,
+    interpret_sql, DataType, Database, ExecLimits, ExecOptions, PlanCache, TableSchema, Value,
 };
 use snails_obs::{ClockMode, ObsCtx};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -211,7 +211,7 @@ fn arb_batch() -> impl Strategy<Value = usize> {
 /// variant-for-variant.
 fn assert_equivalent(db: &Database, sql: &str, batch: usize, limits: ExecLimits) {
     let base = ExecOptions { limits, ..Default::default() };
-    let interpreted = run_sql_with(db, sql, base);
+    let interpreted = interpret_sql(db, sql, base);
     let row = PlanCache::new().run(db, sql, ExecOptions { vectorized: false, ..base });
     assert_eq!(row, interpreted, "row plan diverged for {sql:?}");
     let vec_opts = ExecOptions { vectorized: true, batch_size: Some(batch), ..base };
@@ -221,20 +221,12 @@ fn assert_equivalent(db: &Database, sql: &str, batch: usize, limits: ExecLimits)
     // Warm cache hit: execution must not corrupt the shared plan.
     let warm = cache.run(db, sql, vec_opts);
     assert_eq!(warm, interpreted, "warm vectorized diverged for {sql:?}");
-    // Fusion axis: the unfused pipeline (materialize after every filter)
-    // must agree byte-for-byte with the fused default, with and without
-    // the cost-based planner.
-    let unfused = cache.run(db, sql, ExecOptions { fusion: false, ..vec_opts });
-    assert_eq!(unfused, interpreted, "unfused vectorized diverged for {sql:?}");
     // Cost-based planner axis: `vec_opts` above already runs with the
     // optimizer on (the default); the same plan with the optimizer off
     // must agree byte-for-byte too, cold and warm. Under finite limits
     // both flips hit the gate and must be exact no-ops.
     let plain = cache.run(db, sql, ExecOptions { optimize: false, ..vec_opts });
     assert_eq!(plain, interpreted, "unoptimized vectorized diverged for {sql:?}");
-    let plain_unfused =
-        cache.run(db, sql, ExecOptions { fusion: false, optimize: false, ..vec_opts });
-    assert_eq!(plain_unfused, interpreted, "unfused unoptimized diverged for {sql:?}");
     let plain_row = cache.run(
         db,
         sql,
@@ -376,11 +368,10 @@ fn mode_toggle_reuses_cached_plan() {
         ExecOptions::default(),
         ExecOptions { vectorized: false, ..Default::default() },
         ExecOptions { batch_size: Some(2), ..Default::default() },
-        ExecOptions { fusion: false, ..Default::default() },
         ExecOptions { vectorized: false, hash_join: false, ..Default::default() },
         ExecOptions { hash_join: false, ..Default::default() },
     ];
-    let baseline = run_sql_with(&db, sql, ExecOptions::default()).expect("query runs");
+    let baseline = interpret_sql(&db, sql, ExecOptions::default()).expect("query runs");
     for (i, opts) in modes.iter().enumerate() {
         let rs = cache.run(&db, sql, *opts).expect("query runs");
         assert_eq!(rs, baseline, "mode {i} diverged");
@@ -424,22 +415,15 @@ fn dict_fixture() -> Database {
     db
 }
 
-/// Run `sql` on every (fusion × batch) combination of the vectorized path
-/// and demand byte-identical results to the interpreter.
+/// Run `sql` through the vectorized path at every batch size and demand
+/// byte-identical results to the interpreter.
 fn assert_dict_equivalent(db: &Database, sql: &str) {
-    let oracle = run_sql_with(db, sql, ExecOptions { vectorized: false, ..Default::default() })
-        .expect("oracle runs");
-    for fusion in [true, false] {
-        for batch in [1usize, 2, 3, 1024] {
-            let opts = ExecOptions {
-                batch_size: Some(batch),
-                fusion,
-                optimize: false,
-                ..Default::default()
-            };
-            let got = run_sql_with(db, sql, opts).expect("vectorized runs");
-            assert_eq!(got, oracle, "fusion={fusion} batch={batch} diverged for {sql:?}");
-        }
+    let oracle = interpret_sql(db, sql, ExecOptions::default()).expect("oracle runs");
+    let cache = PlanCache::new();
+    for batch in [1usize, 2, 3, 1024] {
+        let opts = ExecOptions { batch_size: Some(batch), optimize: false, ..Default::default() };
+        let got = cache.run(db, sql, opts).expect("vectorized runs");
+        assert_eq!(got, oracle, "batch={batch} diverged for {sql:?}");
     }
 }
 

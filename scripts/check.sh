@@ -27,11 +27,11 @@ cargo test -q --release --offline -p snails-llm -- --ignored \
 echo "==> cargo clippy --workspace -- -D warnings (offline)"
 cargo clippy --workspace --offline -- -D warnings
 
-echo "==> cargo clippy -p snails-engine --benches -- -D warnings (offline)"
-# The engine (plan/IR layer) and the bench harnesses are gated
-# separately so a workspace-level allow can never mask a regression in
-# the compiled-plan code or the criterion targets.
-cargo clippy -p snails-engine -p snails-bench --benches --offline -- -D warnings
+echo "==> cargo clippy -p snails-engine -p snails-bench -- -D warnings (offline)"
+# The engine (plan/IR layer) and the bench helpers are gated separately
+# so a workspace-level allow can never mask a regression in the
+# compiled-plan code or the measurement helpers.
+cargo clippy -p snails-engine -p snails-bench --offline -- -D warnings
 
 echo "==> snails bench --fault-profile flaky (smoke: zero aborted cells)"
 # The bench exits non-zero when any grid cell aborts without a record or

@@ -24,7 +24,7 @@
 //! ```
 
 use snails::core::telemetry;
-use snails::engine::{run_sql_with, DataType, ExecOptions, TableSchema};
+use snails::engine::{interpret_sql, DataType, ExecOptions, TableSchema};
 use snails::naturalness::{Classifier, Naturalness, NaturalnessProfile};
 use snails::prelude::*;
 use std::sync::Arc;
@@ -82,6 +82,15 @@ fn print_usage() {
          snails load [--socket <path>] [--clients N] [--requests N] [--seed N]\n              \
          [--tenants a,b] [--dbs CWO] [--out <path>] [--shutdown]"
     );
+}
+
+/// Exit 2 with a usage message unless `name` is one of the nine benchmark
+/// databases (`snails list`); `build_database` panics on an unknown name.
+fn require_database(cmd: &str, name: &str) {
+    if snails::data::spec::spec(name).is_none() {
+        eprintln!("{cmd}: unknown database {name} (see `snails list`)");
+        std::process::exit(2);
+    }
 }
 
 /// The 1280-cell benchmark grid (CWO + KIS × 4 variants × 4 workflows × 40
@@ -318,6 +327,7 @@ fn audit(args: &[String]) {
         eprintln!("audit: database name required (see `snails list`)");
         std::process::exit(2);
     };
+    require_database("audit", name);
     let db = build_database(name);
     let profile = NaturalnessProfile::from_labels(
         db.identifier_levels().into_iter().map(|(_, l)| l),
@@ -347,7 +357,11 @@ fn ask(args: &[String]) {
         eprintln!("ask: usage `snails ask <DB> <question-id> [model]`");
         std::process::exit(2);
     };
-    let qid: usize = qid.parse().expect("question id must be a number");
+    require_database("ask", name);
+    let Ok(qid) = qid.parse::<usize>() else {
+        eprintln!("ask: question id must be a number, got {qid:?}");
+        std::process::exit(2);
+    };
     let model = match args.get(2).map(String::as_str) {
         None | Some("gpt-4o") => ModelKind::Gpt4o,
         Some("gemini") => ModelKind::Gemini15Pro,
@@ -385,6 +399,7 @@ fn sql(args: &[String]) {
         eprintln!("sql: usage `snails sql <DB> \"SELECT ...\"`");
         std::process::exit(2);
     };
+    require_database("sql", name);
     let db = build_database(name);
     match run_sql(&db.db, query) {
         Ok(rs) => print!("{rs}"),
@@ -424,6 +439,7 @@ fn explain(args: &[String]) {
         eprintln!("explain: usage `snails explain <DB> <query|question-id> [--threads N]`");
         std::process::exit(2);
     };
+    require_database("explain", name);
     let db = build_database(name);
     let sql = match stmt.parse::<usize>() {
         Ok(qid) => match db.questions.iter().find(|p| p.id == qid) {
@@ -723,7 +739,7 @@ fn bench(args: &[String]) {
     let time_suite = |opts: ExecOptions| {
         let t = Instant::now();
         for p in &joins {
-            let _ = run_sql_with(&db.db, &p.sql, opts);
+            let _ = interpret_sql(&db.db, &p.sql, opts);
         }
         ms(t)
     };
@@ -754,7 +770,7 @@ fn bench(args: &[String]) {
     let mut gold_rows = 0usize;
     let mut plans_identical = true;
     for p in &db.questions {
-        let interpreted = run_sql(&db.db, &p.sql);
+        let interpreted = interpret_sql(&db.db, &p.sql, ExecOptions::default());
         let planned = plans.run(&db.db, &p.sql, opts);
         plans_identical &= planned == interpreted;
         if let Ok(rs) = &planned {
@@ -767,7 +783,7 @@ fn bench(args: &[String]) {
         let t = Instant::now();
         for _ in 0..REPS {
             for p in &db.questions {
-                let _ = run_sql(&db.db, &p.sql);
+                let _ = interpret_sql(&db.db, &p.sql, ExecOptions::default());
             }
         }
         interp_ms = interp_ms.min(ms(t));
@@ -818,7 +834,8 @@ fn bench(args: &[String]) {
     let vec_opts = ExecOptions { optimize: false, ..Default::default() };
     let mut vec_identical = true;
     for p in &db.questions {
-        vec_identical &= plans.run(&db.db, &p.sql, vec_opts) == run_sql(&db.db, &p.sql);
+        vec_identical &= plans.run(&db.db, &p.sql, vec_opts)
+            == interpret_sql(&db.db, &p.sql, ExecOptions::default());
     }
     let time_plans = |o: ExecOptions| {
         let t = Instant::now();
@@ -912,7 +929,7 @@ fn bench(args: &[String]) {
     let join_plans = snails::engine::PlanCache::new();
     // Warm-up doubles as the three-way identity check: interpreter,
     // row-at-a-time plan, vectorized plan.
-    let interp_rs = run_sql_with(&sdb, sql, vec_join_opts);
+    let interp_rs = interpret_sql(&sdb, sql, vec_join_opts);
     let join_identical = join_plans.run(&sdb, sql, row_opts) == interp_rs
         && join_plans.run(&sdb, sql, vec_join_opts) == interp_rs;
     let time_one = |opts: ExecOptions| {
@@ -1224,6 +1241,9 @@ impl ServeArgs {
         if a.tenants.is_empty() || a.dbs.is_empty() {
             eprintln!("{cmd}: at least one tenant and one database required");
             std::process::exit(2);
+        }
+        for name in &a.dbs {
+            require_database(cmd, name);
         }
         a
     }

@@ -33,14 +33,28 @@ fn all_nine_databases_match_table_2() {
 
 #[test]
 fn gold_queries_execute_non_empty_everywhere() {
-    // The Artifact-6 invariant over the databases not covered by unit tests
-    // (including the two largest).
-    for name in ["CWO", "NTSB", "SBOD"] {
+    // The Artifact-6 invariant, plus the runtime-executor contract on every
+    // gold statement of all nine databases: the compiled-plan path
+    // (`run_sql`, and `PlanCache::run` under guarded limits — the path
+    // predictions take) is byte-identical to the interpreter oracle.
+    use snails::engine::{interpret_sql, ExecOptions, PlanCache};
+    let guarded = ExecOptions { limits: ExecLimits::guarded(), ..Default::default() };
+    for name in ["ASIS", "ATBI", "CWO", "KIS", "NPFM", "NTSB", "NYSED", "PILB", "SBOD"] {
         let db = build_database(name);
+        let plans = PlanCache::new();
         for pair in &db.questions {
             let rs = run_sql(&db.db, &pair.sql)
                 .unwrap_or_else(|e| panic!("{name} q{}: {e}\n{}", pair.id, pair.sql));
             assert!(!rs.is_empty(), "{name} q{} returned no rows: {}", pair.id, pair.sql);
+            let oracle = interpret_sql(&db.db, &pair.sql, ExecOptions::default());
+            assert_eq!(Ok(rs), oracle, "{name} q{}: plan diverged: {}", pair.id, pair.sql);
+            assert_eq!(
+                plans.run(&db.db, &pair.sql, guarded),
+                interpret_sql(&db.db, &pair.sql, guarded),
+                "{name} q{}: guarded plan diverged: {}",
+                pair.id,
+                pair.sql
+            );
         }
     }
 }

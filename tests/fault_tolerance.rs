@@ -116,7 +116,8 @@ fn injected_panics_are_isolated_into_panic_records() {
 #[test]
 fn cross_join_bomb_is_contained_as_resource_exhausted() {
     // Engine budgets, end to end: a hostile "prediction" whose cross join
-    // explodes must come back as an error under guarded limits, not hang.
+    // explodes must come back as an error under guarded limits, not hang —
+    // on the path predictions take (a compiled plan from a `PlanCache`).
     let db = build_database("NTSB");
     let big = db
         .db
@@ -129,7 +130,7 @@ fn cross_join_bomb_is_contained_as_resource_exhausted() {
         "SELECT COUNT(*) FROM {name} AS a CROSS JOIN {name} AS b \
          CROSS JOIN {name} AS c CROSS JOIN {name} AS d"
     );
-    let guarded = snails::engine::run_sql_with(
+    let guarded = snails::engine::PlanCache::new().run(
         &db.db,
         &bomb,
         snails::engine::ExecOptions { limits: ExecLimits::guarded(), ..Default::default() },
