@@ -206,11 +206,12 @@ fn connection_loop(stream: UnixStream, server: &Arc<Server>, stop: &Arc<AtomicBo
             match reader.next_message() {
                 Ok(Some(Message::Request(Request::Shutdown))) => {
                     // Drain first so Goodbye truthfully reports the final
-                    // response count, then stop the listener.
+                    // response count. Stop the listener before answering,
+                    // so a client that has read Goodbye sees it stopped.
                     server.drain();
                     let resp = Response::Goodbye { responses: server.responses_delivered() };
-                    write_frame(&writer, &resp);
                     stop.store(true, Ordering::Relaxed);
+                    write_frame(&writer, &resp);
                     return;
                 }
                 Ok(Some(Message::Request(request))) => {

@@ -24,6 +24,13 @@ echo "==> link index vs per-call reference, full-grid inference digest (release,
 cargo test -q --release --offline -p snails-llm -- --ignored \
     index_matches_per_call_reference_on_every_column full_grid_inference_digest_is_pinned
 
+echo "==> incremental BPE trainer vs recounting reference, full English corpus (release, ignored tests)"
+# The debug suite compares the trainer with the recount-every-pair reference
+# on small random corpora and pins the three profiles' merge-list digests;
+# this release-only test runs the reference on the full English corpus at
+# the 4000/2000/800 merge budgets.
+cargo test -q --release --offline -p snails-tokenize -- --ignored
+
 echo "==> cargo clippy --workspace -- -D warnings (offline)"
 cargo clippy --workspace --offline -- -D warnings
 

@@ -37,6 +37,26 @@ struct Args {
     ckpt: Option<String>,
 }
 
+/// Section names accepted as `--<section>` filters, in document order.
+const SECTIONS: &[&str] = &[
+    "table1", "fig2", "table2", "table3", "table4", "fig5", "fig3", "table5", "schemapile",
+    "fig26", "fig27", "fig28", "modifiers", "naming-patterns", "fig8", "fig9", "fig10", "fig11",
+    "fig12", "f1-precision", "fig30", "fig48-51", "tau-tables", "stats", "ablation", "fig13",
+];
+
+/// Print `msg` and the usage text, then exit 2 (a usage error).
+fn usage_error(msg: &str) -> ! {
+    eprintln!(
+        "experiments: {msg}\n\n\
+         USAGE:\n  experiments [--write] [--quick] [--seed N] [--threads N]\n              \
+         [--fault-profile none|flaky|hostile] [--telemetry <path>]\n              \
+         [--ckpt DIR] [--shard i/n] [--<section>]\n\n\
+         SECTIONS (one --<section> filter; not with --write):\n  {}",
+        SECTIONS.join(" ")
+    );
+    std::process::exit(2);
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         write: false,
@@ -54,40 +74,42 @@ fn parse_args() -> Args {
         match a.as_str() {
             "--write" => args.write = true,
             "--quick" => args.quick = true,
-            "--seed" => {
-                args.seed = argv
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--seed takes a u64");
-            }
-            "--threads" => {
-                args.threads = Some(
-                    argv.next()
-                        .and_then(|s| s.parse().ok())
-                        .expect("--threads takes a positive integer"),
-                );
-            }
-            "--fault-profile" => {
-                args.fault_profile = argv
-                    .next()
-                    .and_then(|s| FaultProfile::by_name(&s))
-                    .expect("--fault-profile takes none|flaky|hostile");
-            }
-            "--telemetry" => {
-                args.telemetry = Some(argv.next().expect("--telemetry takes an output path"));
-            }
-            "--shard" => {
-                args.shard = argv
-                    .next()
-                    .map(|s| Shard::parse(&s).expect("--shard takes i/n with 0 <= i < n"))
-                    .expect("--shard takes i/n with 0 <= i < n");
-            }
-            "--ckpt" => {
-                args.ckpt = Some(argv.next().expect("--ckpt takes a checkpoint directory"));
-            }
-            flag if flag.starts_with("--") => args.only = Some(flag[2..].to_owned()),
-            other => panic!("unknown argument {other}"),
+            "--seed" => match argv.next().and_then(|s| s.parse().ok()) {
+                Some(seed) => args.seed = seed,
+                None => usage_error("--seed takes a u64"),
+            },
+            "--threads" => match argv.next().and_then(|s| s.parse().ok()) {
+                Some(n) if n > 0 => args.threads = Some(n),
+                _ => usage_error("--threads takes a positive integer"),
+            },
+            "--fault-profile" => match argv.next().and_then(|s| FaultProfile::by_name(&s)) {
+                Some(profile) => args.fault_profile = profile,
+                None => usage_error("--fault-profile takes none|flaky|hostile"),
+            },
+            "--telemetry" => match argv.next() {
+                Some(path) => args.telemetry = Some(path),
+                None => usage_error("--telemetry takes an output path"),
+            },
+            "--shard" => match argv.next().map(|s| Shard::parse(&s)) {
+                Some(Ok(shard)) => args.shard = shard,
+                Some(Err(e)) => usage_error(&format!("--shard takes i/n with 0 <= i < n ({e})")),
+                None => usage_error("--shard takes i/n with 0 <= i < n"),
+            },
+            "--ckpt" => match argv.next() {
+                Some(dir) => args.ckpt = Some(dir),
+                None => usage_error("--ckpt takes a checkpoint directory"),
+            },
+            flag => match flag.strip_prefix("--") {
+                Some(section) if SECTIONS.contains(&section) => {
+                    args.only = Some(section.to_owned())
+                }
+                Some(_) => usage_error(&format!("unknown flag or section {flag}")),
+                None => usage_error(&format!("unknown argument {flag}")),
+            },
         }
+    }
+    if args.write && args.only.is_some() {
+        usage_error("--write regenerates all of EXPERIMENTS.md; drop the section filter");
     }
     args
 }
